@@ -1,8 +1,6 @@
 package repro.bench
 
 import repro.SparkSpec
-import repro.core.{Cfcc, ExactGreedy, ForestCfcm, SchurCfcm}
-import repro.graph.{CsrGraph, GraphGen, GraphOps}
 
 /** Reproduces the paper's ε sweep (Figs. 4–5 as a table): running time and
   * relative difference of `C(S)` vs EXACT for ε ∈ [0.15, 0.4], k = 10.
@@ -10,44 +8,18 @@ import repro.graph.{CsrGraph, GraphGen, GraphOps}
   */
 class EpsilonSweepBench extends SparkSpec {
 
-  private val epsList = Seq(0.4, 0.3, 0.2, 0.15)
-  private val k = 10
-
   test("ε sweep: time grows and the gap to EXACT shrinks as ε decreases") {
-    val graphs = Seq(
-      "road-1k" -> (() => CsrGraph.fromDataFrame(GraphGen.grid2d(spark, 32, 32))),
-      "ba-2k" -> (() => GraphOps.largestComponent(GraphGen.barabasiAlbert(spark, 2000, 8, 2001))),
-    )
-    val sb = new StringBuilder
-    sb.append("| Graph | ε | FOREST time (s) | SCHUR time (s) | FOREST relΔ vs EXACT | SCHUR relΔ vs EXACT |\n")
-    sb.append("|---|---|---|---|---|---|\n")
-    // JIT/Spark warm-up so the first timed cell is not inflated
-    ForestCfcm.run(spark, GraphOps.largestComponent(GraphGen.barabasiAlbert(spark, 500, 3, 1)),
-                   3, ForestCfcm.Config(0.3, seed = 1))
-    for ((name, gf) <- graphs) {
-      val g = gf()
-      val cExact = g.n / ExactGreedy.run(g, k).traces.last
-      val stats = epsList.map { eps =>
-        val cfgE = ForestCfcm.Config(eps, seed = 17)
-        val (fRes, fT) = Harness.time(ForestCfcm.run(spark, g, k, cfgE))
-        val (sRes, sT) = Harness.time(SchurCfcm.run(spark, g, k, cfgE))
-        val fRel = math.abs(cExact - Cfcc.exact(g, fRes.picks.toSet)) / cExact
-        val sRel = math.abs(cExact - Cfcc.exact(g, sRes.picks.toSet)) / cExact
-        sb.append(f"| $name | $eps | $fT%.2f | $sT%.2f | $fRel%.4f | $sRel%.4f |\n")
-        info(f"[$name] eps=$eps forest=${fT}%.2fs (rel $fRel%.4f) schur=${sT}%.2fs (rel $sRel%.4f)")
-        (eps, fRes.forests, sRes.forests, fRel, sRel)
-      }
+    val rows = Harness.epsSweep(spark, k = 10, s => info(s))
+    for ((name, cells) <- rows.groupBy(_.graph)) {
+      val (loosest, tightest) = (cells.head, cells.last)
       // work grows as ε shrinks: the sampled-forest counts are deterministic
       // in ε (wall time at 1–2k nodes is dominated by the constant Spark
       // scheduling floor, so it is reported but not asserted)
-      assert(stats.last._2 > stats.head._2, s"$name: forest samples not growing with 1/ε")
-      assert(stats.last._3 > stats.head._3, s"$name: schur samples not growing with 1/ε")
+      assert(tightest.forestForests > loosest.forestForests, s"$name: forest samples not growing with 1/ε")
+      assert(tightest.schurForests > loosest.schurForests, s"$name: schur samples not growing with 1/ε")
       // solution quality at ε=0.15/0.2 is near-exact (paper: saturates ≤0.2)
-      assert(stats.last._4 < 0.05, s"$name: forest relΔ ${stats.last._4} at ε=0.15")
-      assert(stats.last._5 < 0.05, s"$name: schur relΔ ${stats.last._5} at ε=0.15")
+      assert(tightest.forestRel < 0.05, s"$name: forest relΔ ${tightest.forestRel} at ε=0.15")
+      assert(tightest.schurRel < 0.05, s"$name: schur relΔ ${tightest.schurRel} at ε=0.15")
     }
-    val table = sb.toString
-    Harness.writeResults("epsilon_sweep.md", table)
-    println(table)
   }
 }

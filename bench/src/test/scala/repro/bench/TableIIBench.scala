@@ -18,13 +18,7 @@ class TableIIBench extends SparkSpec {
   private val full = sys.env.get("REPRO_BENCH_FULL").contains("1")
 
   test(s"Table II: greedy CFCM running times (k=$k, eps=${epsList.mkString("/")})") {
-    val rows = Harness.tableIISuite(full).map { spec =>
-      Harness.tableIIRow(spark, spec, k, epsList, s => { info(s); Console.err.println(s) })
-    }
-    val table = Harness.renderTableII(rows, epsList)
-    val path = Harness.writeResults("table2.md", table)
-    info(s"written $path")
-    println(table)
+    val rows = Harness.tableII(spark, k, epsList, full, s => { info(s); Console.err.println(s) })
 
     val midEps = epsList.sorted.apply(epsList.length / 2) // 0.2 by default
     // Shape assertions mirroring the paper's claims. Absolute factors differ

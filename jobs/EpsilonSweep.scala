@@ -2,8 +2,6 @@ package repro.jobs
 
 import org.apache.spark.sql.SparkSession
 import repro.bench.Harness
-import repro.core.{Cfcc, ExactGreedy, ForestCfcm, SchurCfcm}
-import repro.graph.{CsrGraph, GraphGen, GraphOps}
 
 /** spark-submit entrypoint reproducing the ε sweep (Figs. 4–5 as a table).
   *
@@ -15,28 +13,7 @@ object EpsilonSweep {
     val spark = SparkSession.builder.appName("repro-epsilon-sweep")
       .config("spark.sql.autoBroadcastJoinThreshold", -1)
       .config("spark.serializer", "org.apache.spark.serializer.KryoSerializer").getOrCreate()
-    try {
-      val sb = new StringBuilder
-      sb.append("| Graph | ε | FOREST time (s) | SCHUR time (s) | FOREST relΔ | SCHUR relΔ |\n")
-      sb.append("|---|---|---|---|---|---|\n")
-      for ((name, gf) <- Seq(
-        "road-1k" -> (() => CsrGraph.fromDataFrame(GraphGen.grid2d(spark, 32, 32))),
-        "ba-2k" -> (() => GraphOps.largestComponent(GraphGen.barabasiAlbert(spark, 2000, 8, 2001))),
-      )) {
-        val g = gf()
-        val cExact = g.n / ExactGreedy.run(g, k).traces.last
-        for (eps <- Seq(0.4, 0.3, 0.2, 0.15)) {
-          val cfg = ForestCfcm.Config(eps, seed = 17)
-          val (fRes, fT) = Harness.time(ForestCfcm.run(spark, g, k, cfg))
-          val (sRes, sT) = Harness.time(SchurCfcm.run(spark, g, k, cfg))
-          val fRel = math.abs(cExact - Cfcc.exact(g, fRes.picks.toSet)) / cExact
-          val sRel = math.abs(cExact - Cfcc.exact(g, sRes.picks.toSet)) / cExact
-          sb.append(f"| $name | $eps | $fT%.2f | $sT%.2f | $fRel%.4f | $sRel%.4f |\n")
-          println(f"[$name] eps=$eps forest=$fT%.2fs rel=$fRel%.4f schur=$sT%.2fs rel=$sRel%.4f")
-        }
-      }
-      println(sb.toString)
-      println(s"written: ${Harness.writeResults("epsilon_sweep.md", sb.toString)}")
-    } finally spark.stop()
+    try Harness.epsSweep(spark, k, println)
+    finally spark.stop()
   }
 }

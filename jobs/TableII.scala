@@ -15,11 +15,7 @@ object TableII {
     val spark = SparkSession.builder.appName("repro-table2")
       .config("spark.sql.autoBroadcastJoinThreshold", -1)
       .config("spark.serializer", "org.apache.spark.serializer.KryoSerializer").getOrCreate()
-    try {
-      val rows = Harness.tableIISuite(full).map(Harness.tableIIRow(spark, _, k, epsList, println))
-      val table = Harness.renderTableII(rows, epsList)
-      println(table)
-      println(s"written: ${Harness.writeResults("table2.md", table)}")
-    } finally spark.stop()
+    try Harness.tableII(spark, k, epsList, full, println)
+    finally spark.stop()
   }
 }

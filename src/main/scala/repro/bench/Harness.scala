@@ -1,12 +1,13 @@
 package repro.bench
 
-import org.apache.spark.sql.SparkSession
+import org.apache.spark.sql.{DataFrame, SparkSession}
 import repro.core._
 import repro.graph.{CsrGraph, GraphGen, GraphOps}
 
 /** Benchmark harness shared by the `bench/` suites and the `jobs/`
-  * spark-submit entrypoints: the synthetic graph suite standing in for the
-  * paper's Table II datasets, timing helpers and table rendering.
+  * spark-submit entrypoints: each experiment (Table II, Figs. 1–3, the ε
+  * sweep of Figs. 4–5) is defined here once — graphs, runs, rendering and
+  * the results file — and its callers add only their assertions or output.
   *
   * Offline substitution (DESIGN.md): each row mirrors a paper dataset's
   * *shape* — node count (scaled where the original exceeds laptop reach),
@@ -70,12 +71,22 @@ object Harness {
       forestS: Map[Double, Double], schurS: Map[Double, Double],
   )
 
+  /** Table II: running times of every algorithm at k over the suite.
+    * Writes `table2.md`.
+    */
+  def tableII(spark: SparkSession, k: Int, epsList: Seq[Double], full: Boolean,
+              log: String => Unit): Seq[TableIIRow] = {
+    val rows = tableIISuite(full).map(tableIIRow(spark, _, k, epsList, log))
+    report("table2.md", renderTableII(rows, epsList), log)
+    rows
+  }
+
   /** Run the Table II experiment on one graph. */
-  def tableIIRow(spark: SparkSession, spec: GraphSpec, k: Int, epsList: Seq[Double],
+  private def tableIIRow(spark: SparkSession, spec: GraphSpec, k: Int, epsList: Seq[Double],
                  log: String => Unit): TableIIRow = {
     val (g, tBuild) = time(spec.build(spark))
     val tau = GraphOps.diameterEstimate(g)
-    val tStar = GraphOps.tStar(g, 320)
+    val tStar = GraphOps.tStar(g, SchurCfcm.TCap)
     log(f"[${spec.name}] built n=${g.n} m=${g.m} tau=$tau |T*|=$tStar (${tBuild}%.1fs)")
     val exactS = if (spec.runExact) {
       val (_, t) = time(ExactGreedy.run(g, k)); log(f"[${spec.name}] EXACT ${t}%.2fs"); Some(t)
@@ -97,7 +108,7 @@ object Harness {
   }
 
   /** Render Table II rows as a markdown table (same columns as the paper). */
-  def renderTableII(rows: Seq[TableIIRow], epsList: Seq[Double]): String = {
+  private def renderTableII(rows: Seq[TableIIRow], epsList: Seq[Double]): String = {
     val sb = new StringBuilder
     def fmt(o: Option[Double]): String = o.map(t => f"$t%.2f").getOrElse("—")
     sb.append("| Network (stand-in for) | n | m | τ | \\|T*\\| | EXACT | APPROX |")
@@ -121,10 +132,39 @@ object Harness {
     */
   final case class EffRow(graph: String, k: Int, scores: Seq[(String, Double)])
 
-  def effectivenessRows(spark: SparkSession, name: String,
-                        edges: org.apache.spark.sql.DataFrame, ks: Seq[Int],
-                        eps: Double, withOptimum: Boolean,
-                        log: String => Unit): Seq[EffRow] = {
+  /** Fig. 1 (as table): the tiny graphs at k ≤ 3, with the exhaustive
+    * OPTIMUM. Writes `effectiveness_tiny.md`.
+    */
+  def fig1(spark: SparkSession, eps: Double, log: String => Unit): Seq[EffRow] =
+    effectiveness(spark, "effectiveness_tiny.md", Seq(
+      "zebraLike" -> GraphGen.zebraLike(spark),
+      "karate" -> GraphGen.karate(spark),
+      "contUsaLike" -> GraphGen.contUsaLike(spark),
+      "dolphinsLike" -> GraphGen.dolphinsLike(spark),
+    ), ks = Seq(1, 2, 3), eps, withOptimum = true, log)
+
+  /** Figs. 2–3 (as table): small graphs at k ∈ {5, 10, 20}. Writes
+    * `effectiveness_small.md`.
+    */
+  def figs23(spark: SparkSession, eps: Double, log: String => Unit): Seq[EffRow] =
+    effectiveness(spark, "effectiveness_small.md", Seq(
+      "road-1k" -> GraphGen.grid2d(spark, 32, 32),
+      "ba-1k" -> GraphGen.barabasiAlbert(spark, 1000, 4, 1001),
+    ), ks = Seq(5, 10, 20), eps, withOptimum = false, log)
+
+  private def effectiveness(spark: SparkSession, fileName: String, graphs: Seq[(String, DataFrame)],
+                            ks: Seq[Int], eps: Double, withOptimum: Boolean,
+                            log: String => Unit): Seq[EffRow] = {
+    val rows = graphs.flatMap { case (name, df) =>
+      effectivenessRows(spark, name, df, ks, eps, withOptimum, log)
+    }
+    report(fileName, renderEff(rows), log)
+    rows
+  }
+
+  private def effectivenessRows(spark: SparkSession, name: String, edges: DataFrame, ks: Seq[Int],
+                                eps: Double, withOptimum: Boolean,
+                                log: String => Unit): Seq[EffRow] = {
     val g = GraphOps.largestComponent(edges)
     val cfg = ForestCfcm.Config(eps, r0 = 4.0, seed = 7)
     val kMax = ks.max
@@ -149,7 +189,7 @@ object Harness {
     }
   }
 
-  def renderEff(rows: Seq[EffRow]): String = {
+  private def renderEff(rows: Seq[EffRow]): String = {
     val algos = rows.flatMap(_.scores.map(_._1)).distinct
     val sb = new StringBuilder
     sb.append("| Graph | k |").append(algos.map(a => s" $a |").mkString).append("\n")
@@ -163,8 +203,53 @@ object Harness {
     sb.toString
   }
 
+  /** One cell of the ε sweep: FORESTCFCM and SCHURCFCM at one ε. */
+  final case class SweepRow(graph: String, eps: Double, forestS: Double, schurS: Double,
+                            forestForests: Long, schurForests: Long,
+                            forestRel: Double, schurRel: Double)
+
+  /** The ε sweep (Figs. 4–5 as a table): running time, forests drawn and the
+    * relative difference of `C(S)` vs EXACT at k, for ε ∈ [0.15, 0.4].
+    * Writes `epsilon_sweep.md`.
+    */
+  def epsSweep(spark: SparkSession, k: Int, log: String => Unit): Seq[SweepRow] = {
+    // JIT/Spark warm-up so the first timed cell is not inflated
+    ForestCfcm.run(spark, GraphOps.largestComponent(GraphGen.barabasiAlbert(spark, 500, 3, 1)),
+                   3, ForestCfcm.Config(0.3, seed = 1))
+    val rows = Seq(
+      "road-1k" -> (() => CsrGraph.fromDataFrame(GraphGen.grid2d(spark, 32, 32))),
+      "ba-2k" -> (() => GraphOps.largestComponent(GraphGen.barabasiAlbert(spark, 2000, 8, 2001))),
+    ).flatMap { case (name, build) =>
+      val g = build()
+      val cExact = g.n / ExactGreedy.run(g, k).traces.last
+      def rel(picks: Seq[Int]): Double = math.abs(cExact - Cfcc.exact(g, picks.toSet)) / cExact
+      Seq(0.4, 0.3, 0.2, 0.15).map { eps =>
+        val cfg = ForestCfcm.Config(eps, seed = 17)
+        val (f, fT) = time(ForestCfcm.run(spark, g, k, cfg))
+        val (s, sT) = time(SchurCfcm.run(spark, g, k, cfg))
+        val row = SweepRow(name, eps, fT, sT, f.forests, s.forests, rel(f.picks), rel(s.picks))
+        log(f"[$name] eps=$eps forest=$fT%.2fs (rel ${row.forestRel}%.4f) schur=$sT%.2fs (rel ${row.schurRel}%.4f)")
+        row
+      }
+    }
+    val sb = new StringBuilder
+    sb.append("| Graph | ε | FOREST time (s) | SCHUR time (s) | FOREST relΔ vs EXACT | SCHUR relΔ vs EXACT |\n")
+    sb.append("|---|---|---|---|---|---|\n")
+    rows.foreach { r =>
+      sb.append(f"| ${r.graph} | ${r.eps} | ${r.forestS}%.2f | ${r.schurS}%.2f | ${r.forestRel}%.4f | ${r.schurRel}%.4f |\n")
+    }
+    report("epsilon_sweep.md", sb.toString, log)
+    rows
+  }
+
+  /** Print a rendered table and write it under bench_results/. */
+  private def report(fileName: String, table: String, log: String => Unit): Unit = {
+    println(table)
+    log(s"written: ${writeResults(fileName, table)}")
+  }
+
   /** Write a results file under bench_results/ (created on demand). */
-  def writeResults(fileName: String, content: String): java.nio.file.Path = {
+  private def writeResults(fileName: String, content: String): java.nio.file.Path = {
     val dir = java.nio.file.Paths.get(sys.props.getOrElse("repro.results.dir", "bench_results"))
     java.nio.file.Files.createDirectories(dir)
     val p = dir.resolve(fileName)

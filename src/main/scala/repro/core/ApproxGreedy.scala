@@ -28,13 +28,15 @@ object ApproxGreedy {
 
   final case class Result(picks: Seq[Int], solves: Long)
 
+  /** Relative residual tolerance of every CG solve. */
+  val CgTol = 1e-6
+
   /** Published JL width of the baseline. */
   def width(eps: Double, n: Int): Int =
     math.max(8, math.ceil(24.0 * math.log(math.max(3, n)) / (eps * eps)).toInt)
 
-  def run(spark: SparkSession, g: CsrGraph, k: Int, eps: Double, seed: Long = 1234,
-          cgTol: Double = 1e-6): Result = {
-    require(k >= 1 && k < g.n)
+  def run(spark: SparkSession, g: CsrGraph, k: Int, eps: Double, seed: Long = 1234): Result = {
+    Greedy.requireK(g.n, k)
     val n = g.n
     val w = width(eps, n)
     val sc = spark.sparkContext
@@ -70,7 +72,7 @@ object ApproxGreedy {
               var v = 0
               while (v < gg.n) { if (!inS(v)) rhs(v) = Jl.entry(jlSeed, j, v, w); v += 1 }
             }
-            val (x, _) = Cg.solve(gg, s, rhs, cgTol)
+            val (x, _) = Cg.solve(gg, s, rhs, CgTol)
             var u = 0
             while (u < gg.n) { val xv = x(u); acc(u) += xv * xv; u += 1 }
           }
@@ -86,28 +88,19 @@ object ApproxGreedy {
     val s0 = g.maxDegreeNode
     val dInv = diagInv(Set(s0), seed)
     val ones = Array.tabulate(n)(u => if (u == s0) 0.0 else 1.0)
-    val (h, _) = Cg.solve(g, Set(s0), ones, cgTol); solves += 1
+    val (h, _) = Cg.solve(g, Set(s0), ones, CgTol); solves += 1
     var first = s0; var bestX = 0.0 // x_{s0} = 0 after dropping the constant term
     for (u <- 0 until n if u != s0) {
       val x = dInv(u) - 2.0 / n * h(u)
       if (x < bestX) { bestX = x; first = u }
     }
 
-    val picked = scala.collection.mutable.LinkedHashSet(first)
-    var i = 1
-    while (i < k) {
-      val s = picked.toSet
+    val picks = Greedy.run(n, k, first) { (s, i) =>
       val den = diagInv(s, seed + 1000 * i)
       val num = diagInvSq(s, seed + 1000 * i + 500)
-      var best = -1; var bestDelta = -1.0
-      for (u <- 0 until n if !s.contains(u)) {
-        val delta = num(u) / math.max(den(u), 1e-300)
-        if (delta > bestDelta) { bestDelta = delta; best = u }
-      }
-      picked += best
-      i += 1
+      Array.tabulate(n)(u => num(u) / math.max(den(u), 1e-300))
     }
     bcG.destroy()
-    Result(picked.toSeq, solves)
+    Result(picks, solves)
   }
 }

@@ -1,23 +1,22 @@
 package repro.core
 
 import org.apache.spark.sql.SparkSession
-import repro.forest.{ForestAcc, ForestContext, ForestSampler}
-import repro.graph.{CsrGraph, GraphOps}
+import repro.forest.{ForestContext, ForestSampler}
+import repro.graph.CsrGraph
 import repro.linalg.Jl
 
 /** FORESTCFCM (Algorithm 3) with FORESTDELTA (Algorithm 2).
   *
   * Greedy CFCM where every marginal quantity is estimated from uniformly
-  * sampled rooted spanning forests (Lemma 3.3), fanned out over Spark and
-  * stopped adaptively with the empirical Bernstein inequality (Lemma 3.6).
+  * sampled rooted spanning forests (Lemma 3.3), fanned out over Spark. Each
+  * sampling phase draws its full forest budget (`ForestSampler.budget`).
   */
 object ForestCfcm {
 
   /** Sampling knobs.
     *
     * @param eps  the paper's error parameter ε — drives the JL width
-    *             (`Jl.width`), the forest budget (`ForestSampler.budget`)
-    *             and the adaptive stopping threshold
+    *             (`Jl.width`) and the forest budget (`ForestSampler.budget`)
     * @param r0   forest-budget constant (budget = ⌈r0·ε^{-2}·ln n⌉)
     * @param seed base RNG seed (forests, JL)
     */
@@ -26,58 +25,36 @@ object ForestCfcm {
   final case class Result(picks: Seq[Int], forests: Long)
 
   /** Marginal-gain estimates for one greedy iteration: `delta(u)` for
-    * u ∉ S (−∞ inside S), with the estimator internals exposed for tests.
+    * u ∉ S (−∞ inside S), with the denominator exposed for tests.
     */
-  final case class DeltaEstimates(delta: Array[Double], den: Array[Double],
-                                  numSq: Array[Double], forests: Long)
+  final case class DeltaEstimates(delta: Array[Double], den: Array[Double], forests: Long)
 
-  /** Adaptive stop: relative empirical-Bernstein criterion on the diagonal
-    * estimates (the denominator of Δ and the dominant error source; the
-    * paper's per-node check `ε'_u ≤ ε(Δ' − ε'_u)` with δ = 1/n). `depth(u)`
-    * bounds the per-forest estimate magnitude (BFS path length).
+  /** Phase-1 scores (Algorithm 3, Lines 1–14): root the forests at the
+    * max-degree node s and estimate `x_u = Φ̄_{u,{s}}(u) − (2/n)·Φ̄_{1,{s}}(u)`
+    * (Lemma 3.5, constant term dropped; `x_s = 0`), which ranks `L†_uu` up to
+    * a common constant. Returns the scores and the forests drawn.
     */
-  private[core] def diagConverged(acc: ForestAcc, isRoot: Array[Boolean],
-                                  depth: Array[Int], eps: Double): Boolean = {
-    val n = acc.n
-    val logTerm = math.log(3.0 * n)
-    var u = 0
-    while (u < n) {
-      if (!isRoot(u)) {
-        val mean = acc.diagSum(u) / acc.count
-        val err = ForestSampler.bernstein(acc.diagSum(u), acc.diagSqSum(u), acc.count,
-                                          math.max(1, depth(u)), logTerm)
-        if (err > eps * math.max(mean - err, 0.0)) return false
-      }
-      u += 1
+  def firstScores(spark: SparkSession, g: CsrGraph, cfg: Config): (Array[Double], Long) = {
+    val s = g.maxDegreeNode
+    val ctx = ForestContext(g, Set(s), Array(Array.fill(g.n)(1.0)), wantDiag = true)
+    val sampled = ForestSampler.run(spark, ctx, ForestSampler.budget(cfg.eps, g.n, cfg.r0),
+                                    cfg.seed)(_ => false)
+    val acc = sampled.acc
+    val x = Array.tabulate(g.n) { u =>
+      if (u == s) 0.0
+      else acc.diagSum(u) / acc.count - 2.0 / g.n * (acc.phiSum(u) / acc.count)
     }
-    true
+    (x, sampled.forests)
   }
 
-  private[core] def bfsDepths(g: CsrGraph, roots: Set[Int]): Array[Int] =
-    GraphOps.bfs(g, roots.toSeq.sorted)
-
-  /** First greedy pick (Algorithm 3, Lines 1–14): root the forests at the
-    * max-degree node s and rank `x_u = Φ̄_{u,{s}}(u) − (2/n)·Φ̄_{1,{s}}(u)`
-    * (Lemma 3.5, constant term dropped; `x_s = 0`).
+  /** First greedy pick: the node with the smallest phase-1 score (s when
+    * none is negative, ties to the lowest id).
     */
   def firstPick(spark: SparkSession, g: CsrGraph, cfg: Config): (Int, Long) = {
-    val s = g.maxDegreeNode
-    val ones = Array.fill(g.n)(1.0)
-    val ctx = ForestContext(g, Set(s), Array(ones), wantDiag = true)
-    val depth = bfsDepths(g, Set(s))
-    val sampled = ForestSampler.run(spark, ctx, ForestSampler.budget(cfg.eps, g.n, cfg.r0),
-                                    cfg.seed)(acc => diagConverged(acc, ctx.isRoot, depth, cfg.eps))
-    val acc = sampled.acc
-    var best = s; var bestX = 0.0
-    var u = 0
-    while (u < g.n) {
-      if (u != s) {
-        val x = acc.diagSum(u) / acc.count - 2.0 / g.n * (acc.phiSum(u) / acc.count)
-        if (x < bestX) { bestX = x; best = u }
-      }
-      u += 1
-    }
-    (best, sampled.forests)
+    val (x, forests) = firstScores(spark, g, cfg)
+    var best = g.maxDegreeNode
+    for (u <- 0 until g.n) if (x(u) < x(best)) best = u
+    (best, forests)
   }
 
   /** FORESTDELTA (Algorithm 2): estimate `Δ(u,S)` for all u ∉ S by sampling
@@ -86,17 +63,13 @@ object ForestCfcm {
   def forestDelta(spark: SparkSession, g: CsrGraph, s: Set[Int], cfg: Config,
                   iter: Int): DeltaEstimates = {
     val w = Jl.width(cfg.eps)
-    val jlSeed = cfg.seed + 7919L * iter
-    val sources = Array.tabulate(w)(j => Array.tabulate(g.n)(v => Jl.entry(jlSeed, j, v, w)))
-    val ctx = ForestContext(g, s, sources, wantDiag = true)
-    val depth = bfsDepths(g, s)
+    val ctx = ForestContext(g, s, Jl.materialize(cfg.seed + 7919L * iter, w, g.n), wantDiag = true)
     val sampled = ForestSampler.run(spark, ctx, ForestSampler.budget(cfg.eps, g.n, cfg.r0),
-                                    cfg.seed + iter)(acc => diagConverged(acc, ctx.isRoot, depth, cfg.eps))
+                                    cfg.seed + iter)(_ => false)
     val acc = sampled.acc
     val n = g.n
     val delta = Array.fill(n)(Double.NegativeInfinity)
     val den = new Array[Double](n)
-    val num = new Array[Double](n)
     var u = 0
     while (u < n) {
       if (!ctx.isRoot(u)) {
@@ -104,34 +77,24 @@ object ForestCfcm {
         var j = 0
         while (j < w) { val y = acc.phiSum(j * n + u) / acc.count; nsq += y * y; j += 1 }
         val z = acc.diagSum(u) / acc.count
-        den(u) = z; num(u) = nsq
+        den(u) = z
         delta(u) = nsq / math.max(z, 1e-300)
       }
       u += 1
     }
-    DeltaEstimates(delta, den, num, sampled.forests)
+    DeltaEstimates(delta, den, sampled.forests)
   }
 
   /** Full FORESTCFCM greedy (Algorithm 3). */
   def run(spark: SparkSession, g: CsrGraph, k: Int, cfg: Config): Result = {
-    require(k >= 1 && k < g.n)
-    var forests = 0L
+    Greedy.requireK(g.n, k)
     val (first, f0) = firstPick(spark, g, cfg)
-    forests += f0
-    val picked = scala.collection.mutable.LinkedHashSet(first)
-    var i = 1
-    while (i < k) {
-      val est = forestDelta(spark, g, picked.toSet, cfg, i)
+    var forests = f0
+    val picks = Greedy.run(g.n, k, first) { (s, i) =>
+      val est = forestDelta(spark, g, s, cfg, i)
       forests += est.forests
-      var best = -1; var bestD = Double.NegativeInfinity
-      var u = 0
-      while (u < g.n) {
-        if (!picked.contains(u) && est.delta(u) > bestD) { bestD = est.delta(u); best = u }
-        u += 1
-      }
-      picked += best
-      i += 1
+      est.delta
     }
-    Result(picked.toSeq, forests)
+    Result(picks, forests)
   }
 }

@@ -22,28 +22,14 @@ object Heuristics {
       .select(col("node").cast("int").as("node"), col("degree").cast("long").as("degree"))
 
   /** TOP-CFCC: the k nodes with the largest single-node CFCC, i.e. smallest
-    * `L†_uu` (Section II-D). Exact (dense) for small graphs; estimated with
-    * the phase-1 forest estimator otherwise.
+    * `L†_uu` (Section II-D). Exact (dense) for small graphs; ranked by
+    * FORESTCFCM's phase-1 scores otherwise.
     */
   def topCfcc(spark: SparkSession, g: CsrGraph, k: Int,
               denseLimit: Int = 3000, cfg: ForestCfcm.Config = ForestCfcm.Config(0.2)): Seq[Int] = {
-    val score: Array[Double] =
+    val score =
       if (g.n <= denseLimit) Cfcc.pseudoinverseDiag(g)
-      else {
-        // x_u of Algorithm 3 ranks L†_uu up to a common constant.
-        val s = g.maxDegreeNode
-        val ones = Array.fill(g.n)(1.0)
-        val ctx = repro.forest.ForestContext(g, Set(s), Array(ones), wantDiag = true)
-        val depth = ForestCfcm.bfsDepths(g, Set(s))
-        val sampled = repro.forest.ForestSampler.run(
-          spark, ctx, repro.forest.ForestSampler.budget(cfg.eps, g.n, cfg.r0), cfg.seed)(
-          acc => ForestCfcm.diagConverged(acc, ctx.isRoot, depth, cfg.eps))
-        val acc = sampled.acc
-        Array.tabulate(g.n) { u =>
-          if (u == s) 0.0
-          else acc.diagSum(u) / acc.count - 2.0 / g.n * (acc.phiSum(u) / acc.count)
-        }
-      }
+      else ForestCfcm.firstScores(spark, g, cfg)._1
     (0 until g.n).sortBy(u => (score(u), u)).take(k)
   }
 }

@@ -15,7 +15,10 @@ import repro.linalg.{Dense, Jl}
   */
 object SchurCfcm {
 
-  final case class Result(picks: Seq[Int], picksT: Seq[Int], forests: Long)
+  final case class Result(picks: Seq[Int], forests: Long)
+
+  /** Cap on |T|: the dense |T|³ Schur inversion must stay cheap. */
+  val TCap = 320
 
   /** `d_max(X)` of Table I: max degree in the subgraph after removing X. */
   def residualMaxDegree(g: CsrGraph, removed: Set[Int]): Int = {
@@ -33,11 +36,11 @@ object SchurCfcm {
     best
   }
 
-  /** T per Section V-A: degree-peel until `|T| ≈ d_max(T)` (capped — the
-    * dense |T|³ Schur inversion must stay cheap).
+  /** T per Section V-A: degree-peel until `|T| ≈ d_max(T)`, at most
+    * [[TCap]] nodes.
     */
-  def selectT(g: CsrGraph, cap: Int = 320): Array[Int] = {
-    val c = math.min(GraphOps.tStar(g, cap), cap)
+  def selectT(g: CsrGraph): Array[Int] = {
+    val c = math.min(GraphOps.tStar(g, TCap), TCap)
     val (order, _) = GraphOps.degreePeeling(g, c)
     order.take(c)
   }
@@ -51,14 +54,12 @@ object SchurCfcm {
     val nt = tList.length
     val w = Jl.width(cfg.eps)
     val roots = s ++ tList
-    val jlSeed = cfg.seed + 104729L * iter
     // One JL matrix over V\S; its U-part rides the forest estimator as source
     // rows (W), its T-part (Q) enters the Schur algebra below. ForestContext
     // grounds the rows at the roots, which zeroes exactly the T-part.
-    val sources = Array.tabulate(w)(j => Array.tabulate(n)(v => Jl.entry(jlSeed, j, v, w)))
-    val q = Array.tabulate(w)(j => Array.tabulate(nt)(i => Jl.entry(jlSeed, j, tList(i), w)))
+    val sources = Jl.materialize(cfg.seed + 104729L * iter, w, n)
+    val q = sources.map(row => tList.map(row))
     val ctx = ForestContext(g, roots, sources, wantDiag = true, tList)
-    val depth = ForestCfcm.bfsDepths(g, roots)
     // Lemma 4.5 vs 3.9: SCHURDELTA's required sample size carries
     // d_max^{2τ+2}(S∪T) in place of d_max^{2τ+2}(S) — removing the hubs in T
     // slashes it. We render that conservatively (exponent softened to 1,
@@ -68,9 +69,7 @@ object SchurCfcm {
     val dMaxST = residualMaxDegree(g, roots)
     val ratio = math.min(1.0, math.max(0.3, (dMaxST + 1.0) / (dMaxS + 1.0)))
     val budget = math.max(64L, (ForestSampler.budget(cfg.eps, n, cfg.r0) * ratio).toLong)
-    val sampled = ForestSampler.run(spark, ctx, budget,
-                                    cfg.seed + 31 * iter)(acc =>
-      ForestCfcm.diagConverged(acc, ctx.isRoot, depth, cfg.eps))
+    val sampled = ForestSampler.run(spark, ctx, budget, cfg.seed + 31 * iter)(_ => false)
     val acc = sampled.acc
     val cnt = acc.count.toDouble
 
@@ -153,7 +152,6 @@ object SchurCfcm {
     // parallel over nodes (the Σ nnz_u² correction term is the hot loop).
     val delta = Array.fill(n)(Double.NegativeInfinity)
     val den = new Array[Double](n)
-    val num = new Array[Double](n)
     java.util.stream.IntStream.range(0, n).parallel().forEach { u =>
       if (!ctx.isRoot(u)) { // u ∈ U
         val ii = fIdx(u); val vv = fVal(u)
@@ -175,7 +173,7 @@ object SchurCfcm {
           nsq += y * y
           j += 1
         }
-        den(u) = z; num(u) = nsq
+        den(u) = z
         delta(u) = nsq / math.max(z, 1e-300)
       }
     }
@@ -186,38 +184,27 @@ object SchurCfcm {
       var nsq = 0.0
       var j = 0
       while (j < w) { val y = a(j)(t2); nsq += y * y; j += 1 }
-      den(t) = z; num(t) = nsq
+      den(t) = z
       delta(t) = nsq / math.max(z, 1e-300)
       t2 += 1
     }
-    ForestCfcm.DeltaEstimates(delta, den, num, sampled.forests)
+    ForestCfcm.DeltaEstimates(delta, den, sampled.forests)
   }
 
   /** Full SCHURCFCM greedy (Algorithm 5): phase 1 is identical to
     * FORESTCFCM (no Schur — see the paper's remark before Theorem 4.7);
     * iterations use SCHURDELTA with the residual auxiliary root set T \ S.
     */
-  def run(spark: SparkSession, g: CsrGraph, k: Int, cfg: ForestCfcm.Config,
-          tCap: Int = 320): Result = {
-    require(k >= 1 && k < g.n)
-    val t = selectT(g, tCap)
-    var forests = 0L
+  def run(spark: SparkSession, g: CsrGraph, k: Int, cfg: ForestCfcm.Config): Result = {
+    Greedy.requireK(g.n, k)
+    val t = selectT(g)
     val (first, f0) = ForestCfcm.firstPick(spark, g, cfg)
-    forests += f0
-    val picked = scala.collection.mutable.LinkedHashSet(first)
-    var i = 1
-    while (i < k) {
-      val est = schurDelta(spark, g, picked.toSet, t, cfg, i)
+    var forests = f0
+    val picks = Greedy.run(g.n, k, first) { (s, i) =>
+      val est = schurDelta(spark, g, s, t, cfg, i)
       forests += est.forests
-      var best = -1; var bestD = Double.NegativeInfinity
-      var u = 0
-      while (u < g.n) {
-        if (!picked.contains(u) && est.delta(u) > bestD) { bestD = est.delta(u); best = u }
-        u += 1
-      }
-      picked += best
-      i += 1
+      est.delta
     }
-    Result(picked.toSeq, t.toSeq, forests)
+    Result(picks, forests)
   }
 }

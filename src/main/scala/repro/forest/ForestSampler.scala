@@ -9,7 +9,10 @@ import org.apache.spark.sql.SparkSession
   * of forest indices fanned out over partitions against a broadcast
   * [[ForestContext]]; every partition folds its forests into one
   * [[ForestAcc]] and partials merge with `treeReduce`. After each batch the
-  * driver evaluates the empirical-Bernstein stopping rule (Lemma 3.6).
+  * driver evaluates the caller's stopping predicate. The library's phases
+  * never stop early: the paper's empirical-Bernstein rule (Lemma 3.6), which
+  * demands relative error ε on every diagonal, did not fire on any test or
+  * benchmark graph (DESIGN.md).
   */
 object ForestSampler {
 
@@ -69,17 +72,5 @@ object ForestSampler {
     }
     bcCtx.destroy()
     Sampled(total, done, converged)
-  }
-
-  /** Empirical-Bernstein additive error bound (Lemma 3.6) for a mean
-    * estimated from `cnt` samples with given sum and sum of squares.
-    *
-    * @param xSup   a.s. bound on |X|
-    * @param logTerm `log(3/δ)` — the paper uses δ = 1/n
-    */
-  def bernstein(sum: Double, sqSum: Double, cnt: Long, xSup: Double, logTerm: Double): Double = {
-    val mean = sum / cnt
-    val varE = math.max(0.0, sqSum / cnt - mean * mean)
-    math.sqrt(2.0 * varE * logTerm / cnt) + 3.0 * xSup * logTerm / cnt
   }
 }

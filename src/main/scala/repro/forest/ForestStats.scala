@@ -71,23 +71,18 @@ object ForestContext {
   *    Euler-tour ancestor tests;
   *  - rooted-at-`t` counts `Ñ(ρ_u = t)` for the Schur variant (Lemma 4.2).
   *
-  * Squared sums back the empirical-Bernstein stopping rule (Lemma 3.6).
-  * Accumulators merge associatively, so partitions fold locally and
-  * `treeReduce` combines partials.
+  * The estimators need only means, so only sums are kept: every array here
+  * is shipped back once per partition per batch. Accumulators merge
+  * associatively, so partitions fold locally and `treeReduce` combines
+  * partials.
   */
 final class ForestAcc(val nsrc: Int, val n: Int, val wantDiag: Boolean, val numT: Int)
     extends Serializable {
   var count: Long = 0L
-  /** Σ_forests φ_j(u), flat nsrc×n. (No squared sums here: the adaptive stop
-    * uses the diagonal's Bernstein bound only — see ForestCfcm.diagConverged —
-    * and shipping a second nsrc×n array per partition per batch doubles the
-    * dominant serialization cost.)
-    */
+  /** Σ_forests φ_j(u), flat nsrc×n. */
   val phiSum: Array[Double] = new Array[Double](nsrc * n)
   /** Σ_forests D(u). */
   val diagSum: Array[Double] = if (wantDiag) new Array[Double](n) else Array.emptyDoubleArray
-  /** Σ_forests D(u)². */
-  val diagSqSum: Array[Double] = if (wantDiag) new Array[Double](n) else Array.emptyDoubleArray
   /** Ñ(ρ_u = t), flat n×numT. */
   val rootCnt: Array[Int] = if (numT > 0) new Array[Int](n * numT) else Array.emptyIntArray
 
@@ -98,7 +93,7 @@ final class ForestAcc(val nsrc: Int, val n: Int, val wantDiag: Boolean, val numT
     while (i < phiSum.length) { phiSum(i) += o.phiSum(i); i += 1 }
     if (wantDiag) {
       i = 0
-      while (i < n) { diagSum(i) += o.diagSum(i); diagSqSum(i) += o.diagSqSum(i); i += 1 }
+      while (i < n) { diagSum(i) += o.diagSum(i); i += 1 }
     }
     i = 0
     while (i < rootCnt.length) { rootCnt(i) += o.rootCnt(i); i += 1 }
@@ -184,7 +179,7 @@ object ForestStats {
       }
 
       // --- diagonal estimates: walk the BFS path of every non-root node
-      val diagSum = acc.diagSum; val diagSqSum = acc.diagSqSum
+      val diagSum = acc.diagSum
       var u = 0
       while (u < n) {
         if (!ctx.isRoot(u)) {
@@ -200,7 +195,6 @@ object ForestStats {
             a = b
           }
           diagSum(u) += d
-          diagSqSum(u) += d.toDouble * d
         }
         u += 1
       }

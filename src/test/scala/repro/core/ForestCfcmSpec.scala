@@ -1,6 +1,7 @@
 package repro.core
 
 import repro.SparkSpec
+import repro.forest.ForestSampler
 import repro.graph.{CsrGraph, GraphGen, GraphOps}
 
 class ForestCfcmSpec extends SparkSpec {
@@ -51,6 +52,11 @@ class ForestCfcmSpec extends SparkSpec {
     val cForest = Cfcc.exact(g, res.picks.toSet)
     val cExact = g.n / ExactGreedy.run(g, 4).traces.last
     assert(cForest >= 0.9 * cExact, s"forest $cForest vs exact $cExact")
+  }
+
+  test("every sampling phase draws its full forest budget (karate, k=4)") {
+    val res = ForestCfcm.run(spark, karate, 4, cfg)
+    assert(res.forests == 4 * ForestSampler.budget(cfg.eps, karate.n, cfg.r0))
   }
 
   test("quality improves (weakly) with smaller ε on the dolphins stand-in") {

@@ -52,15 +52,6 @@ class SamplerSpec extends SparkSpec {
     assert(ForestSampler.budget(0.2, 100) <= ForestSampler.budget(0.2, 100000))
   }
 
-  test("bernstein bound shrinks with sample count and variance") {
-    val logTerm = math.log(3.0 * 100)
-    val loose = ForestSampler.bernstein(100.0, 400.0, 100, 5.0, logTerm)
-    val tight = ForestSampler.bernstein(10000.0, 40000.0, 10000, 5.0, logTerm)
-    assert(tight < loose)
-    val lowVar = ForestSampler.bernstein(10000.0, 10000.0 * 1.0001, 10000, 5.0, logTerm)
-    assert(lowVar < tight + 1e-9)
-  }
-
   test("accumulator merge is associative on real folds") {
     val ctx = ForestContext(karate, Set(2), Array(Array.fill(karate.n)(1.0)), wantDiag = true)
     def fold(seed: Long, k: Int): ForestAcc = {
