@@ -12,7 +12,6 @@ object Effectiveness {
   def main(args: Array[String]): Unit = {
     val eps = args.lift(0).map(_.toDouble).getOrElse(0.2)
     val spark = SparkSession.builder.appName("repro-effectiveness")
-      .config("spark.sql.autoBroadcastJoinThreshold", -1)
       .config("spark.serializer", "org.apache.spark.serializer.KryoSerializer").getOrCreate()
     try {
       Harness.fig1(spark, eps, println)

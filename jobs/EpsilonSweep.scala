@@ -11,7 +11,6 @@ object EpsilonSweep {
   def main(args: Array[String]): Unit = {
     val k = args.lift(0).map(_.toInt).getOrElse(10)
     val spark = SparkSession.builder.appName("repro-epsilon-sweep")
-      .config("spark.sql.autoBroadcastJoinThreshold", -1)
       .config("spark.serializer", "org.apache.spark.serializer.KryoSerializer").getOrCreate()
     try Harness.epsSweep(spark, k, println)
     finally spark.stop()

@@ -13,7 +13,6 @@ object TableII {
     val epsList = args.lift(1).map(_.split(',').map(_.toDouble).toSeq).getOrElse(Seq(0.3, 0.2, 0.15))
     val full = args.lift(2).contains("full")
     val spark = SparkSession.builder.appName("repro-table2")
-      .config("spark.sql.autoBroadcastJoinThreshold", -1)
       .config("spark.serializer", "org.apache.spark.serializer.KryoSerializer").getOrCreate()
     try Harness.tableII(spark, k, epsList, full, println)
     finally spark.stop()

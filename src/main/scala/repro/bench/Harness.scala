@@ -172,7 +172,7 @@ object Harness {
     val approx = ApproxGreedy.run(spark, g, kMax, eps)
     val forest = ForestCfcm.run(spark, g, kMax, cfg)
     val schur = SchurCfcm.run(spark, g, kMax, cfg)
-    val deg = (0 until g.n).sortBy(u => (-g.degree(u), u)).take(kMax)
+    val deg = Heuristics.degreeTopK(g, kMax)
     val top = Heuristics.topCfcc(spark, g, kMax)
     ks.map { k =>
       def c(picks: Seq[Int]): Double = Cfcc.exact(g, picks.take(k).toSet)

@@ -24,10 +24,10 @@ object Cfcc {
   def exact(g: CsrGraph, s: Set[Int]): Double = g.n / traceInvExact(g, s)
 
   /** `Tr(L_{-S}^{-1})` by Hutchinson's estimator with Rademacher probes and
-    * CG solves — `E[zᵀ L_{-S}^{-1} z] = Tr(L_{-S}^{-1})` for ±1 entries z.
+    * CG solves to relative tolerance [[CgTol]] —
+    * `E[zᵀ L_{-S}^{-1} z] = Tr(L_{-S}^{-1})` for ±1 entries z.
     */
-  def traceInvCg(g: CsrGraph, s: Set[Int], probes: Int = 64, seed: Long = 42,
-                 relTol: Double = 1e-6): Double = {
+  def traceInvCg(g: CsrGraph, s: Set[Int], probes: Int = 64, seed: Long = 42): Double = {
     require(s.nonEmpty)
     val rng = new java.util.SplittableRandom(seed)
     var sum = 0.0
@@ -36,7 +36,7 @@ object Cfcc {
       val z = new Array[Double](g.n)
       var u = 0
       while (u < g.n) { if (!s.contains(u)) z(u) = if (rng.nextBoolean()) 1.0 else -1.0; u += 1 }
-      val (x, _) = Cg.solve(g, s, z, relTol)
+      val (x, _) = Cg.solve(g, s, z, CgTol)
       var dot = 0.0
       u = 0
       while (u < g.n) { dot += z(u) * x(u); u += 1 }
@@ -45,6 +45,9 @@ object Cfcc {
     }
     sum / probes
   }
+
+  /** Relative residual tolerance of [[traceInvCg]]'s CG solves. */
+  val CgTol = 1e-6
 
   /** `C(S)` via [[traceInvCg]]. */
   def approxCg(g: CsrGraph, s: Set[Int], probes: Int = 64, seed: Long = 42): Double =

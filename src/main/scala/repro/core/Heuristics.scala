@@ -1,25 +1,14 @@
 package repro.core
 
-import org.apache.spark.sql.{DataFrame, SparkSession}
-import org.apache.spark.sql.functions._
-import repro.graph.{CsrGraph, GraphOps}
+import org.apache.spark.sql.SparkSession
+import repro.graph.CsrGraph
 
 /** Heuristic baselines of Section V-A. */
 object Heuristics {
 
-  /** DEGREE: the k nodes of largest degree (ties by node id). Expressed as a
-    * Catalyst query over the edge DataFrame — tests verify it against DuckDB
-    * via [[repro.Oracle]].
-    */
-  def degreeTopK(edges: DataFrame, k: Int): Seq[Int] =
-    degreeTopKDf(edges, k).collect().map(_.getInt(0)).toSeq
-
-  /** The DataFrame behind [[degreeTopK]]: columns `(node, degree)`. */
-  def degreeTopKDf(edges: DataFrame, k: Int): DataFrame =
-    GraphOps.degrees(edges)
-      .orderBy(desc("degree"), asc("node"))
-      .limit(k)
-      .select(col("node").cast("int").as("node"), col("degree").cast("long").as("degree"))
+  /** DEGREE: the k nodes of largest degree, ties to the lowest id. */
+  def degreeTopK(g: CsrGraph, k: Int): Seq[Int] =
+    (0 until g.n).sortBy(u => (-g.degree(u), u)).take(k)
 
   /** TOP-CFCC: the k nodes with the largest single-node CFCC, i.e. smallest
     * `L†_uu` (Section II-D). Exact (dense) for small graphs; ranked by

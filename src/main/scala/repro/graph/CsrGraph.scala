@@ -95,8 +95,8 @@ object CsrGraph {
   }
 
   /** Collect an edge DataFrame with integer columns `src`, `dst` into a CSR.
-    * The DataFrame is the Catalyst-side representation; this is the bridge to
-    * the walk/BFS substrate.
+    * The DataFrame is only the input boundary; this is the bridge to the
+    * walk/BFS substrate.
     */
   def fromDataFrame(edges: DataFrame): CsrGraph = {
     val rows = edges.selectExpr("cast(src as int) src", "cast(dst as int) dst").collect()

@@ -1,13 +1,14 @@
 package repro.graph
 
 import org.apache.spark.sql.{DataFrame, SparkSession}
-import org.apache.spark.sql.functions._
 
 /** Synthetic graph generators.
   *
   * All generators return an undirected edge DataFrame with integer columns
   * `src`, `dst` (canonical orientation `src < dst`, no duplicates, no
   * self-loops) over nodes `0 until n`, and are deterministic in their seed.
+  * Each builds its edge list on the driver and wraps it once in a local
+  * DataFrame, the input boundary that [[CsrGraph.fromDataFrame]] collects.
   *
   * These are the offline stand-ins for the paper's KONECT/SNAP graphs (see
   * DESIGN.md "Substitutions"): Barabási–Albert reproduces the scale-free hub
@@ -17,13 +18,13 @@ import org.apache.spark.sql.functions._
   */
 object GraphGen {
 
-  private def toDf(spark: SparkSession, n: Int, edges: Seq[(Int, Int)]): DataFrame = {
+  private def toDf(spark: SparkSession, edges: Seq[(Int, Int)]): DataFrame = {
     import spark.implicits._
     val canon = edges.iterator
       .filter(e => e._1 != e._2)
       .map(e => if (e._1 < e._2) e else (e._2, e._1))
       .toSeq.distinct
-    spark.createDataset(canon).toDF("src", "dst").repartition(math.max(1, n / 50000 + 1))
+    spark.createDataset(canon).toDF("src", "dst")
   }
 
   /** Barabási–Albert preferential attachment: start from a clique on
@@ -57,7 +58,7 @@ object GraphGen {
       }
       v += 1
     }
-    toDf(spark, n, edges.result().toSeq)
+    toDf(spark, edges.result().toSeq)
   }
 
   /** Watts–Strogatz small world: ring lattice with `k` nearest neighbors per
@@ -84,7 +85,7 @@ object GraphGen {
       }
       i += 1
     }
-    toDf(spark, n, edges.toSeq)
+    toDf(spark, edges.toSeq)
   }
 
   /** Erdős–Rényi G(n, m): `mEdges` distinct uniform pairs. May be
@@ -102,32 +103,21 @@ object GraphGen {
         if (present.add(keyv)) { edges += ((a, b)); added += 1 }
       }
     }
-    toDf(spark, n, edges.result().toSeq)
+    toDf(spark, edges.result().toSeq)
   }
 
   /** `rows × cols` 2-D grid — the high-diameter, constant-degree stand-in for
-    * road networks (Euroroads). Built Catalyst-side from `spark.range`.
+    * road networks (Euroroads). Node `r·cols + c` sits at row r, column c.
     */
   def grid2d(spark: SparkSession, rows: Int, cols: Int): DataFrame = {
-    val n = rows * cols
-    val ids = spark.range(n).toDF("id")
-    val right = ids
-      .where(col("id") % cols =!= (cols - 1))
-      .select(col("id").cast("int").as("src"), (col("id") + 1).cast("int").as("dst"))
-    val down = ids
-      .where(col("id") < (n - cols).toLong)
-      .select(col("id").cast("int").as("src"), (col("id") + cols).cast("int").as("dst"))
-    right.unionAll(down)
+    val right = for (r <- 0 until rows; c <- 0 until cols - 1) yield (r * cols + c, r * cols + c + 1)
+    val down = for (r <- 0 until rows - 1; c <- 0 until cols) yield (r * cols + c, (r + 1) * cols + c)
+    toDf(spark, right ++ down)
   }
 
   /** Simple cycle on `n` nodes (diameter ⌊n/2⌋) — a worst-case τ stress. */
-  def ring(spark: SparkSession, n: Int): DataFrame = {
-    val ids = spark.range(n).toDF("id")
-    ids.select(
-      col("id").cast("int").as("src"),
-      ((col("id") + 1) % n).cast("int").as("dst"),
-    ).selectExpr("least(src, dst) as src", "greatest(src, dst) as dst")
-  }
+  def ring(spark: SparkSession, n: Int): DataFrame =
+    toDf(spark, (0 until n).map(u => (u, (u + 1) % n)))
 
   /** Zachary's Karate club (34 nodes, 78 edges) — the one real tiny graph we
     * can embed verbatim; used for the Fig.-1-style optimality comparison.
@@ -142,7 +132,7 @@ object GraphGen {
       (23,33),(23,34),(24,26),(24,28),(24,30),(24,33),(24,34),(25,26),(25,28),(25,32),
       (26,32),(27,30),(27,34),(28,34),(29,32),(29,34),(30,33),(30,34),(31,33),(31,34),
       (32,33),(32,34),(33,34))
-    toDf(spark, 34, e1.map { case (a, b) => (a - 1, b - 1) })
+    toDf(spark, e1.map { case (a, b) => (a - 1, b - 1) })
   }
 
   /** Tiny connected stand-ins for the paper's Zebra (23), Cont. USA (49) and

@@ -1,55 +1,15 @@
 package repro.graph
 
-import org.apache.spark.sql.{DataFrame, SparkSession}
-import org.apache.spark.sql.functions._
+import org.apache.spark.sql.DataFrame
 
-/** Graph analytics over edge DataFrames plus local CSR helpers.
-  *
-  * DataFrame algorithms (degrees, components) are the Catalyst-facing layer —
-  * tests verify them against DuckDB (degrees) and a local union-find
-  * (components). BFS / diameter run on the CSR because they sit on the hot
-  * path of the samplers.
+/** Local graph algorithms on the CSR: components, BFS, diameter and degree
+  * peeling. The edge DataFrame is only an input boundary; everything here
+  * runs on the driver, because BFS and diameter sit on the samplers' hot path.
   */
 object GraphOps {
 
-  /** Per-node degree of an undirected edge list: `(node, degree)`. */
-  def degrees(edges: DataFrame): DataFrame = {
-    val ends = edges.select(col("src").as("node")).unionAll(edges.select(col("dst").as("node")))
-    ends.groupBy("node").agg(count(lit(1)).as("degree"))
-  }
-
-  /** Connected components by iterative min-label propagation, entirely in
-    * DataFrames: every node starts with its own id as label and repeatedly
-    * takes the min label in its closed neighborhood until a fixpoint.
-    * Returns `(node, component)`. Intended for small/medium graphs (each
-    * round is a shuffle).
-    */
-  def connectedComponents(edges: DataFrame): DataFrame = {
-    val sym = edges.select(col("src"), col("dst"))
-      .unionAll(edges.select(col("dst").as("src"), col("src").as("dst")))
-      .localCheckpoint(true) // truncate lineage: each round below re-joins it
-    var labels = sym.select(col("src").as("node")).distinct()
-      .withColumn("component", col("node"))
-      .localCheckpoint(true)
-    var changed = 1L
-    while (changed > 0) {
-      val viaNeighbor = sym
-        .join(labels, sym("dst") === labels("node"))
-        .select(sym("src").as("node"), col("component"))
-      // localCheckpoint per round: iterative self-joins otherwise grow the
-      // logical plan exponentially and Catalyst planning dominates runtime.
-      val next = labels.select(col("node"), col("component")).unionAll(viaNeighbor)
-        .groupBy("node").agg(min("component").as("component"))
-        .localCheckpoint(true)
-      changed = next.join(labels.withColumnRenamed("component", "old"), "node")
-        .where(col("component") =!= col("old")).count()
-      labels = next
-    }
-    labels
-  }
-
-  /** Local union-find components over collected edges — the oracle for
-    * [[connectedComponents]] and the fast path for LCC extraction.
+  /** Local union-find components over collected edges, used for LCC
+    * extraction.
     */
   def unionFindComponents(n: Int, edges: Iterable[(Int, Int)]): Array[Int] = {
     val parent = Array.tabulate(n)(identity)
@@ -124,13 +84,15 @@ object GraphOps {
 
   /** Double-sweep diameter lower bound (exact on trees, near-exact on the
     * graph families used here); the paper reports exact τ — see DESIGN.md.
+    * Runs [[DiameterSweeps]] BFS sweeps, each from the previous sweep's
+    * farthest node.
     */
-  def diameterEstimate(g: CsrGraph, sweeps: Int = 4): Int = {
+  def diameterEstimate(g: CsrGraph): Int = {
     var far = 0
     var best = 0
     var s = 0
     var i = 0
-    while (i < sweeps) {
+    while (i < DiameterSweeps) {
       val d = bfs(g, Seq(s))
       var u = 0; var ecc = 0; far = s
       while (u < g.n) { if (d(u) > ecc) { ecc = d(u); far = u }; u += 1 }
@@ -140,6 +102,9 @@ object GraphOps {
     }
     best
   }
+
+  /** BFS sweeps of [[diameterEstimate]]. */
+  val DiameterSweeps = 4
 
   /** Exact diameter by all-pairs BFS — tiny graphs only. */
   def diameterExact(g: CsrGraph): Int =

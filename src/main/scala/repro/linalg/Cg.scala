@@ -30,19 +30,20 @@ object Cg {
     y
   }
 
-  /** Solve `L_{-S} x = b` (b must be zero on S) by preconditioned CG.
+  /** Solve `L_{-S} x = b` (b must be zero on S) by preconditioned CG, with
+    * an iteration cap of 10·√n + 200 (generous for SDD systems).
     *
-    * @param relTol  stop when ||r|| ≤ relTol·||b||
-    * @param maxIter iteration cap (default 10·√n + 200, generous for SDD)
+    * @param relTol stop when ||r|| ≤ relTol·||b||
     * @return solution with zeros on S, plus the iteration count
+    * @throws IllegalStateException if the cap is reached (or the residual is
+    *         NaN) before ||r|| ≤ relTol·||b||
     */
-  def solve(g: CsrGraph, s: Set[Int], b: Array[Double], relTol: Double = 1e-8,
-            maxIter: Int = -1): (Array[Double], Int) = {
+  def solve(g: CsrGraph, s: Set[Int], b: Array[Double], relTol: Double = 1e-8): (Array[Double], Int) = {
     val n = g.n
     require(s.nonEmpty, "L_{-S} requires non-empty S (L itself is singular)")
     val inS = new Array[Boolean](n)
     s.foreach(inS(_) = true)
-    val cap = if (maxIter > 0) maxIter else 10 * math.sqrt(n.toDouble).toInt + 200
+    val cap = 10 * math.sqrt(n.toDouble).toInt + 200
     val x = new Array[Double](n)
     val r = b.clone()
     var u = 0
@@ -70,6 +71,9 @@ object Cg {
       rNorm = math.sqrt(dot(r, r))
       iter += 1
     }
+    if (!(rNorm <= relTol * bNorm))
+      throw new IllegalStateException(
+        s"CG did not converge: ||r||/||b|| = ${rNorm / bNorm} > $relTol after $iter iterations")
     (x, iter)
   }
 

@@ -5,7 +5,7 @@ import repro.graph.CsrGraph
 /** Minimal dense symmetric linear algebra on flat row-major arrays.
   *
   * This is the exact-computation substrate: the EXACT greedy baseline, the
-  * DuckDB-style ground truth for every estimator test, and the Laplacian
+  * ground truth for every estimator test, and the Laplacian
   * pseudoinverse identities of Section II. Sized for n up to a few thousand
   * (O(n³) inversion, O(n²) downdates).
   */

@@ -13,15 +13,14 @@ class EndToEndSpec extends SparkSpec {
   private val cfg = ForestCfcm.Config(eps = 0.2, r0 = 8.0, seed = 21)
 
   test("all five algorithms produce valid, comparable solutions on karate (k=4)") {
-    val df = GraphGen.karate(spark)
-    val g = CsrGraph.fromDataFrame(df)
+    val g = CsrGraph.fromDataFrame(GraphGen.karate(spark))
     val k = 4
     val solutions = Map(
       "EXACT" -> ExactGreedy.run(g, k).picks.toSet,
       "APPROX" -> ApproxGreedy.run(spark, g, k, 0.2).picks.toSet,
       "FORESTCFCM" -> ForestCfcm.run(spark, g, k, cfg).picks.toSet,
       "SCHURCFCM" -> SchurCfcm.run(spark, g, k, cfg).picks.toSet,
-      "DEGREE" -> Heuristics.degreeTopK(df, k).toSet,
+      "DEGREE" -> Heuristics.degreeTopK(g, k).toSet,
       "TOP-CFCC" -> Heuristics.topCfcc(spark, g, k).toSet,
     )
     val scores = solutions.map { case (name, s) =>

@@ -66,18 +66,6 @@ class GraphOpsSpec extends SparkSpec {
     assert(joined.distinct.length == 1)
   }
 
-  test("connectedComponents (DataFrame) agrees with union-find") {
-    val df = GraphGen.erdosRenyi(spark, 80, 90, seed = 9) // sparse => several comps
-    val g = CsrGraph.fromDataFrame(df)
-    val uf = GraphOps.unionFindComponents(g.n, g.edgeList)
-    val dfComp = GraphOps.connectedComponents(df).collect()
-      .map(r => r.getAs[Number]("node").intValue() -> r.getAs[Number]("component").intValue())
-      .toMap
-    // same partition: nodes share a DF-component iff they share a UF-component
-    for ((u, cu) <- dfComp; (v, cv) <- dfComp if u < v)
-      assert((cu == cv) == (uf(u) == uf(v)), s"pair ($u,$v)")
-  }
-
   test("largestComponent keeps the biggest piece and relabels densely") {
     val df = GraphGen.erdosRenyi(spark, 60, 50, seed = 4)
     val g0 = CsrGraph.fromDataFrame(df)

@@ -54,6 +54,12 @@ class CgSpec extends SparkSpec {
     assert(resid < 1e-4)
   }
 
+  test("CG throws when L_{-S} x = b has no solution (S misses a component)") {
+    val twoTriangles = CsrGraph.fromEdges(6, Seq((0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)))
+    val b = Array.tabulate(6)(u => if (u == 0) 0.0 else 1.0)
+    intercept[IllegalStateException](Cg.solve(twoTriangles, Set(0), b))
+  }
+
   test("CG rejects empty S (singular L)") {
     intercept[IllegalArgumentException] {
       Cg.solve(karate, Set.empty, Array.fill(karate.n)(1.0))
