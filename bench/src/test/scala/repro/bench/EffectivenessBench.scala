@@ -6,14 +6,13 @@ import repro.SparkSpec
   * Fig. 1 (tiny graphs vs the exhaustive OPTIMUM, k ≤ 3) and Figs. 2–3
   * (small graphs: DEGREE / TOP-CFCC / APPROX / FOREST / SCHUR / EXACT,
   * k ∈ {5, 10, 20}), all scored with the exact `C(S)`.
-  * Results land in `bench_results/effectiveness.md`.
+  * Results land in `bench_results/effectiveness_tiny.md` and
+  * `bench_results/effectiveness_small.md`.
   */
 class EffectivenessBench extends SparkSpec {
 
-  private val eps = 0.2 // the paper's effectiveness setting
-
   test("Fig. 1 (as table): tiny graphs — greedy solutions reach the optimum") {
-    val rows = Harness.fig1(spark, eps, s => info(s))
+    val rows = Harness.fig1(spark, s => info(s))
     for (r <- rows) {
       val m = r.scores.toMap
       val opt = m("OPTIMUM")
@@ -30,7 +29,7 @@ class EffectivenessBench extends SparkSpec {
   }
 
   test("Figs. 2–3 (as table): small graphs — greedy family dominates heuristics") {
-    val rows = Harness.figs23(spark, eps, s => info(s))
+    val rows = Harness.figs23(spark, s => info(s))
     for (r <- rows) {
       val m = r.scores.toMap
       val ex = m("EXACT")

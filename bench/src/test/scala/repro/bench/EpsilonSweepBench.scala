@@ -9,7 +9,7 @@ import repro.SparkSpec
 class EpsilonSweepBench extends SparkSpec {
 
   test("ε sweep: time grows and the gap to EXACT shrinks as ε decreases") {
-    val rows = Harness.epsSweep(spark, k = 10, s => info(s))
+    val rows = Harness.epsSweep(spark, s => info(s))
     for ((name, cells) <- rows.groupBy(_.graph)) {
       val (loosest, tightest) = (cells.head, cells.last)
       // work grows as ε shrinks: the sampled-forest counts are deterministic

@@ -6,21 +6,16 @@ import repro.SparkSpec
   * FORESTCFCM and SCHURCFCM (ε ∈ {0.3, 0.2, 0.15}, k = 20) across the
   * graph suite. Results land in `bench_results/table2.md`; EXPERIMENTS.md
   * records paper vs measured.
-  *
-  * Env knobs: REPRO_BENCH_FULL=1 adds the 57k/100k rows, REPRO_BENCH_K
-  * overrides k, REPRO_BENCH_EPS overrides the ε list (comma separated).
   */
 class TableIIBench extends SparkSpec {
 
-  private val k = sys.env.get("REPRO_BENCH_K").map(_.toInt).getOrElse(20)
-  private val epsList = sys.env.get("REPRO_BENCH_EPS")
-    .map(_.split(',').map(_.toDouble).toSeq).getOrElse(Seq(0.3, 0.2, 0.15))
-  private val full = sys.env.get("REPRO_BENCH_FULL").contains("1")
+  private val k = Harness.TableIIK
+  private val epsList = Harness.TableIIEps
 
   test(s"Table II: greedy CFCM running times (k=$k, eps=${epsList.mkString("/")})") {
-    val rows = Harness.tableII(spark, k, epsList, full, s => { info(s); Console.err.println(s) })
+    val rows = Harness.tableII(spark, s => { info(s); Console.err.println(s) })
 
-    val midEps = epsList.sorted.apply(epsList.length / 2) // 0.2 by default
+    val midEps = epsList.sorted.apply(epsList.length / 2) // 0.2
     // Shape assertions mirroring the paper's claims. Absolute factors differ
     // (C++/72 threads vs JVM/16 cores; a constant Spark scheduling floor of a
     // few seconds dominates the tiniest graphs), so the claims are asserted

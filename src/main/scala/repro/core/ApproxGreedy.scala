@@ -28,9 +28,6 @@ object ApproxGreedy {
 
   final case class Result(picks: Seq[Int], solves: Long)
 
-  /** Relative residual tolerance of every CG solve. */
-  val CgTol = 1e-6
-
   /** Published JL width of the baseline. */
   def width(eps: Double, n: Int): Int =
     math.max(8, math.ceil(24.0 * math.log(math.max(3, n)) / (eps * eps)).toInt)
@@ -72,7 +69,7 @@ object ApproxGreedy {
               var v = 0
               while (v < gg.n) { if (!inS(v)) rhs(v) = Jl.entry(jlSeed, j, v, w); v += 1 }
             }
-            val (x, _) = Cg.solve(gg, s, rhs, CgTol)
+            val (x, _) = Cg.solve(gg, s, rhs)
             var u = 0
             while (u < gg.n) { val xv = x(u); acc(u) += xv * xv; u += 1 }
           }
@@ -88,7 +85,7 @@ object ApproxGreedy {
     val s0 = g.maxDegreeNode
     val dInv = diagInv(Set(s0), seed)
     val ones = Array.tabulate(n)(u => if (u == s0) 0.0 else 1.0)
-    val (h, _) = Cg.solve(g, Set(s0), ones, CgTol); solves += 1
+    val (h, _) = Cg.solve(g, Set(s0), ones); solves += 1
     var first = s0; var bestX = 0.0 // x_{s0} = 0 after dropping the constant term
     for (u <- 0 until n if u != s0) {
       val x = dInv(u) - 2.0 / n * h(u)

@@ -24,7 +24,7 @@ object Cfcc {
   def exact(g: CsrGraph, s: Set[Int]): Double = g.n / traceInvExact(g, s)
 
   /** `Tr(L_{-S}^{-1})` by Hutchinson's estimator with Rademacher probes and
-    * CG solves to relative tolerance [[CgTol]] —
+    * CG solves at `Cg.solve`'s default tolerance —
     * `E[zᵀ L_{-S}^{-1} z] = Tr(L_{-S}^{-1})` for ±1 entries z.
     */
   def traceInvCg(g: CsrGraph, s: Set[Int], probes: Int = 64, seed: Long = 42): Double = {
@@ -36,7 +36,7 @@ object Cfcc {
       val z = new Array[Double](g.n)
       var u = 0
       while (u < g.n) { if (!s.contains(u)) z(u) = if (rng.nextBoolean()) 1.0 else -1.0; u += 1 }
-      val (x, _) = Cg.solve(g, s, z, CgTol)
+      val (x, _) = Cg.solve(g, s, z)
       var dot = 0.0
       u = 0
       while (u < g.n) { dot += z(u) * x(u); u += 1 }
@@ -45,9 +45,6 @@ object Cfcc {
     }
     sum / probes
   }
-
-  /** Relative residual tolerance of [[traceInvCg]]'s CG solves. */
-  val CgTol = 1e-6
 
   /** `C(S)` via [[traceInvCg]]. */
   def approxCg(g: CsrGraph, s: Set[Int], probes: Int = 64, seed: Long = 42): Double =

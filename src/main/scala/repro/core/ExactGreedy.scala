@@ -29,11 +29,7 @@ object ExactGreedy {
     val picks = scala.collection.mutable.ArrayBuffer(first)
     val traces = scala.collection.mutable.ArrayBuffer.empty[Double]
     // Maintain M = L_{-S}^{-1} over the surviving index list.
-    var keep = (0 until n).filterNot(_ == first).toArray
-    var m = {
-      val lap = Dense.laplacian(g)
-      Dense.inverse(Dense.submatrix(lap, n, keep), keep.length)
-    }
+    var (keep, m) = Dense.submatrixInverse(g, Set(first))
     traces += Dense.trace(m, keep.length)
     var i = 1
     while (i < k) {

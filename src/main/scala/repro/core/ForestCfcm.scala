@@ -29,12 +29,13 @@ object ForestCfcm {
     */
   final case class DeltaEstimates(delta: Array[Double], den: Array[Double], forests: Long)
 
-  /** Phase-1 scores (Algorithm 3, Lines 1–14): root the forests at the
+  /** First greedy pick (Algorithm 3, Lines 1–14): root the forests at the
     * max-degree node s and estimate `x_u = Φ̄_{u,{s}}(u) − (2/n)·Φ̄_{1,{s}}(u)`
     * (Lemma 3.5, constant term dropped; `x_s = 0`), which ranks `L†_uu` up to
-    * a common constant. Returns the scores and the forests drawn.
+    * a common constant. Returns the node with the smallest `x_u` (s when
+    * none is negative, ties to the lowest id) and the forests drawn.
     */
-  def firstScores(spark: SparkSession, g: CsrGraph, cfg: Config): (Array[Double], Long) = {
+  def firstPick(spark: SparkSession, g: CsrGraph, cfg: Config): (Int, Long) = {
     val s = g.maxDegreeNode
     val ctx = ForestContext(g, Set(s), Array(Array.fill(g.n)(1.0)), wantDiag = true)
     val sampled = ForestSampler.run(spark, ctx, ForestSampler.budget(cfg.eps, g.n, cfg.r0),
@@ -44,17 +45,9 @@ object ForestCfcm {
       if (u == s) 0.0
       else acc.diagSum(u) / acc.count - 2.0 / g.n * (acc.phiSum(u) / acc.count)
     }
-    (x, sampled.forests)
-  }
-
-  /** First greedy pick: the node with the smallest phase-1 score (s when
-    * none is negative, ties to the lowest id).
-    */
-  def firstPick(spark: SparkSession, g: CsrGraph, cfg: Config): (Int, Long) = {
-    val (x, forests) = firstScores(spark, g, cfg)
-    var best = g.maxDegreeNode
+    var best = s
     for (u <- 0 until g.n) if (x(u) < x(best)) best = u
-    (best, forests)
+    (best, sampled.forests)
   }
 
   /** FORESTDELTA (Algorithm 2): estimate `Δ(u,S)` for all u ∉ S by sampling

@@ -36,12 +36,13 @@ object SchurCfcm {
     best
   }
 
-  /** T per Section V-A: degree-peel until `|T| ≈ d_max(T)`, at most
-    * [[TCap]] nodes.
+  /** T per Section V-A: the degree-peel prefix of the size c that balances
+    * |T| against the residual max degree, `argmin_c |c − d_max(T_c)|` (ties
+    * to the smallest c), at most [[TCap]] nodes. This c is `|T*|`.
     */
   def selectT(g: CsrGraph): Array[Int] = {
-    val c = math.min(GraphOps.tStar(g, TCap), TCap)
-    val (order, _) = GraphOps.degreePeeling(g, c)
+    val (order, residualMax) = GraphOps.degreePeeling(g, math.min(TCap, g.n - 1))
+    val c = (1 to order.length).minBy(c => math.abs(c.toLong - residualMax(c - 1)))
     order.take(c)
   }
 

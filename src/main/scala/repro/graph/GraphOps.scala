@@ -112,8 +112,8 @@ object GraphOps {
 
   /** Residual-degree peeling: repeatedly remove the max-degree node of the
     * remaining graph. Returns the removal order and, for each prefix size c,
-    * the max degree of the remaining graph (`d_max(T_c)`).
-    * Used to pick `|T*| = argmin_c | c − d_max(T_c) |` (Section V-A).
+    * the max degree of the remaining graph (`residualMax(c-1)` is `d_max`
+    * after removing c nodes). SCHURCFCM's `selectT` takes T from it.
     */
   def degreePeeling(g: CsrGraph, maxC: Int): (Array[Int], Array[Int]) = {
     val deg = g.degrees
@@ -135,20 +135,5 @@ object GraphOps {
       c += 1
     }
     (order, residualMax)
-  }
-
-  /** `|T*|` per Section V-A: the prefix size balancing |T| against the
-    * residual max degree. `residualMax(c-1)` is `d_max` after removing c nodes.
-    */
-  def tStar(g: CsrGraph, maxC: Int = 2048): Int = {
-    val (_, residualMax) = degreePeeling(g, math.min(maxC, g.n - 1))
-    var best = 1; var bestGap = Long.MaxValue
-    var c = 1
-    while (c <= residualMax.length) {
-      val gap = math.abs(c.toLong - residualMax(c - 1))
-      if (gap < bestGap) { bestGap = gap; best = c }
-      c += 1
-    }
-    best
   }
 }

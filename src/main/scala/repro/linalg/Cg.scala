@@ -38,7 +38,7 @@ object Cg {
     * @throws IllegalStateException if the cap is reached (or the residual is
     *         NaN) before ||r|| ≤ relTol·||b||
     */
-  def solve(g: CsrGraph, s: Set[Int], b: Array[Double], relTol: Double = 1e-8): (Array[Double], Int) = {
+  def solve(g: CsrGraph, s: Set[Int], b: Array[Double], relTol: Double = 1e-6): (Array[Double], Int) = {
     val n = g.n
     require(s.nonEmpty, "L_{-S} requires non-empty S (L itself is singular)")
     val inS = new Array[Boolean](n)

@@ -21,7 +21,7 @@ class EndToEndSpec extends SparkSpec {
       "FORESTCFCM" -> ForestCfcm.run(spark, g, k, cfg).picks.toSet,
       "SCHURCFCM" -> SchurCfcm.run(spark, g, k, cfg).picks.toSet,
       "DEGREE" -> Heuristics.degreeTopK(g, k).toSet,
-      "TOP-CFCC" -> Heuristics.topCfcc(spark, g, k).toSet,
+      "TOP-CFCC" -> Heuristics.topCfcc(g, k).toSet,
     )
     val scores = solutions.map { case (name, s) =>
       assert(s.size == k, s"$name returned ${s.size} nodes")

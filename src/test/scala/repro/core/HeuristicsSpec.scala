@@ -39,18 +39,10 @@ class HeuristicsSpec extends SparkSpec {
   }
 
   test("topCfcc (exact path) ranks by L†_uu ascending") {
-    val picks = Heuristics.topCfcc(spark, karate, 4)
+    val picks = Heuristics.topCfcc(karate, 4)
     val diag = Cfcc.pseudoinverseDiag(karate)
     val expected = (0 until karate.n).sortBy(u => (diag(u), u)).take(4)
     assert(picks == expected)
-  }
-
-  test("topCfcc (estimated path) overlaps heavily with the exact ranking") {
-    val g = karate
-    val exact = Heuristics.topCfcc(spark, g, 6, denseLimit = 3000)
-    val est = Heuristics.topCfcc(spark, g, 6, denseLimit = 1,
-                                 ForestCfcm.Config(0.2, r0 = 8.0, seed = 3))
-    assert(exact.toSet.intersect(est.toSet).size >= 4, s"exact=$exact est=$est")
   }
 
   test("greedy beats both heuristics on C(S) (karate, k=4) — the paper's Fig. 2 claim") {
@@ -58,7 +50,7 @@ class HeuristicsSpec extends SparkSpec {
     val k = 4
     val cGreedy = g.n / ExactGreedy.run(g, k).traces.last
     val cDeg = Cfcc.exact(g, Heuristics.degreeTopK(g, k).toSet)
-    val cTop = Cfcc.exact(g, Heuristics.topCfcc(spark, g, k).toSet)
+    val cTop = Cfcc.exact(g, Heuristics.topCfcc(g, k).toSet)
     assert(cGreedy >= cDeg - 1e-9, s"greedy $cGreedy vs degree $cDeg")
     assert(cGreedy >= cTop - 1e-9, s"greedy $cGreedy vs top-cfcc $cTop")
   }

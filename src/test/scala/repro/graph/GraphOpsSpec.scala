@@ -1,6 +1,7 @@
 package repro.graph
 
 import repro.SparkSpec
+import repro.core.SchurCfcm
 
 class GraphOpsSpec extends SparkSpec {
 
@@ -85,13 +86,15 @@ class GraphOpsSpec extends SparkSpec {
     assert(residual.last <= g.maxDegree)
   }
 
-  test("tStar balances |T| against the residual max degree") {
+  test("selectT balances |T| against the residual max degree") {
     val g = CsrGraph.fromDataFrame(GraphGen.barabasiAlbert(spark, 1000, 3, 7))
-    val c = GraphOps.tStar(g)
-    val (_, residual) = GraphOps.degreePeeling(g, math.min(2048, g.n - 1))
-    val gap = math.abs(c - residual(c - 1))
-    // no other prefix does strictly better
-    for (c2 <- 1 to residual.length)
-      assert(gap <= math.abs(c2 - residual(c2 - 1)), s"c=$c beaten by $c2")
+    val t = SchurCfcm.selectT(g)
+    val c = t.length
+    val (order, residual) = GraphOps.degreePeeling(g, math.min(SchurCfcm.TCap, g.n - 1))
+    assert(t.sameElements(order.take(c)), "T is not a prefix of the degree peel")
+    def gap(c: Int): Int = math.abs(c - residual(c - 1))
+    // no prefix does strictly better, and no smaller prefix ties
+    for (c2 <- 1 to residual.length) assert(gap(c) <= gap(c2), s"|T|=$c beaten by $c2")
+    for (c2 <- 1 until c) assert(gap(c2) > gap(c), s"|T|=$c tied by smaller $c2")
   }
 }
